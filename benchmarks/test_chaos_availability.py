@@ -99,8 +99,8 @@ def test_chaos_availability(time_one_run):
         assert sorted(cluster.membership.live) == list(range(SERVERS)), model
         # Durability contracts hold on the recovered state.
         for result in validate_faulty_run(cluster):
-            assert result.ok, (str(model), result.name,
-                               result.violations[:5])
+            assert result.ok, (str(model), result.name, [
+                f"[{d['rule']}] {d['detail']}" for d in result.details[:5]])
         # Availability floor: losing 1/3 of nodes for ~28% of the run
         # must not cost more than half the throughput.
         assert availability > 0.5, (str(model), availability)

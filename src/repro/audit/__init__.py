@@ -8,10 +8,14 @@ from those observations — the auditor never looks inside the protocol:
   (linearizability through a polynomial unique-token cluster graph,
   read-enforced freshness, transactional atomicity, causal session
   guarantees, eventual) plus the shared phantom check;
-* :mod:`repro.audit.durability` — persistency predicates evaluated
-  against the post-crash recovered NVM state, mapped per matrix cell;
+* :mod:`repro.audit.durability` — the per-cell contract predicates
+  (persistency durability against the post-crash recovered NVM state,
+  plus session monotonic reads) and :func:`checks_for_cell`, the one
+  map from matrix cell to predicates;
 * :mod:`repro.audit.engine` — the 5×5 evaluation, the
-  ``repro.audit_report/1`` document, and the human verdict table.
+  ``repro.audit_report/1`` document, the human verdict table, and
+  :func:`validate_faulty_run`, the one-cell verdict on a finished
+  cluster run (re-exported by :mod:`repro.faults`).
 
 Entry points: ``repro run --audit`` (record + audit in one go) and
 ``repro audit history.jsonl`` (audit a saved ``repro.history/1``
@@ -25,13 +29,15 @@ from repro.audit.checkers import (CONSISTENCY_CHECKERS, CheckResult,
                                   check_transactional)
 from repro.audit.durability import (DURABILITY_CHECKERS,
                                     check_completed_writes_durable,
+                                    check_monotonic_reads,
                                     check_read_values_durable,
                                     check_recovered_no_phantom,
                                     check_scope_writes_durable,
                                     checks_for_cell)
 from repro.audit.engine import (AUDIT_SCHEMA, CONSISTENCY_ORDER,
                                 PERSISTENCY_ORDER, audit_exit_code,
-                                audit_history, format_audit_table)
+                                audit_history, format_audit_table,
+                                validate_faulty_run)
 
 __all__ = [
     "AUDIT_SCHEMA", "CONSISTENCY_ORDER", "PERSISTENCY_ORDER",
@@ -41,6 +47,6 @@ __all__ = [
     "check_transactional", "check_causal", "check_eventual",
     "check_completed_writes_durable", "check_read_values_durable",
     "check_scope_writes_durable", "check_recovered_no_phantom",
-    "checks_for_cell", "audit_history", "audit_exit_code",
-    "format_audit_table",
+    "check_monotonic_reads", "checks_for_cell", "audit_history",
+    "audit_exit_code", "format_audit_table", "validate_faulty_run",
 ]

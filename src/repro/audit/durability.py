@@ -1,12 +1,14 @@
-"""Durability predicates: persistency contracts judged against the
-post-crash recovered state.
+"""Cell contract predicates: what each matrix cell owes beyond its
+consistency row, judged over the history plus the recovered image.
 
-Each predicate compares what clients observed (the history) with what
-NVM recovery yielded after the run (``History.recovered``, the merged
-latest-version image across every node's durable log).  The mapping
-from matrix cell to predicate set (:func:`checks_for_cell`) mirrors the
-white-box contract table in :mod:`repro.faults.validate`, re-derived
-from the paper's Table 4 semantics:
+Most predicates compare what clients observed (the history) with what
+NVM recovery yielded after the run (``History.recovered``: the merged
+latest-version image across every node's durable log, each node's own
+image, and each node's durable scope commit markers).
+:func:`checks_for_cell` is the one map from matrix cell to predicate
+set, derived from the paper's Table 4 semantics; both the 5×5 audit
+(:func:`repro.audit.audit_history`) and the post-fault validation
+(:func:`repro.audit.validate_faulty_run`) use it:
 
 * **strict** persists before the write is acknowledged anywhere, so it
   owes `completed_writes_durable` under every consistency model;
@@ -20,9 +22,14 @@ from the paper's Table 4 semantics:
   causal/eventual consistency, where writes are acknowledged early but
   reads return only persisted versions.
 * **scope** owes durability exactly for writes whose scope completed
-  its Persist call (`scope_writes_durable`).
+  its Persist call (`scope_writes_durable`), in the merged image and at
+  every node holding the scope's commit marker.
 * every cell owes `recovered_no_phantom`: recovery may lose suffixes
   but must never invent versions nobody wrote.
+* every non-transactional cell owes `monotonic_reads` within each
+  client session (a crash-restart opens a new one); it needs no
+  recovered image.  Transactional reads may legally observe a
+  later-squashed attempt's write, so it is not owed there.
 
 All predicates share the checkers' soundness contract: writes of
 squashed transaction attempts, pending (crash-severed) operations, and
@@ -31,29 +38,34 @@ unattributable versions are excluded rather than guessed at.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.audit.checkers import CheckResult, PreparedHistory
-from repro.core.replica import ZERO_VERSION
+from repro.core.replica import Version, ZERO_VERSION
+from repro.obs.history import HistoryOpRecord
 
-__all__ = ["DURABILITY_CHECKERS", "checks_for_cell",
+__all__ = ["DURABILITY_CHECKERS", "HISTORY_ONLY_CHECKS", "checks_for_cell",
            "check_completed_writes_durable", "check_read_values_durable",
-           "check_scope_writes_durable", "check_recovered_no_phantom"]
+           "check_scope_writes_durable", "check_recovered_no_phantom",
+           "check_monotonic_reads"]
 
 #: Consistency models whose write acknowledgment waits for the full
 #: protocol round, which under synchronous (inline) persistency makes
-#: the ack imply durability (mirrors ``repro.faults.validate``'s
-#: ``guarantees_completed_writes``).
+#: the ack imply durability.
 _ACK_IMPLIES_PERSIST = ("linearizable", "transactional")
 
 #: Consistency models without invalidation rounds: under synchronous
 #: persistency their reads return the *persisted* version, so every
-#: observed value is recoverable (``guarantees_read_values``).
+#: observed value is recoverable.
 _READS_RETURN_PERSISTED = ("causal", "eventual")
+
+#: Cell predicates judged from the history alone: evaluated even when
+#: the recovered image was not captured.
+HISTORY_ONLY_CHECKS = frozenset({"monotonic_reads"})
 
 
 def checks_for_cell(consistency: str, persistency: str) -> List[str]:
-    """Durability predicate names owed by one matrix cell."""
+    """Contract predicate names owed by one matrix cell."""
     checks = ["recovered_no_phantom"]
     if persistency == "strict" or (persistency == "synchronous"
                                    and consistency in _ACK_IMPLIES_PERSIST):
@@ -64,6 +76,8 @@ def checks_for_cell(consistency: str, persistency: str) -> List[str]:
         checks.append("read_values_durable")
     if persistency == "scope":
         checks.append("scope_writes_durable")
+    if consistency != "transactional":
+        checks.append("monotonic_reads")
     return checks
 
 
@@ -113,8 +127,18 @@ def check_read_values_durable(prep: PreparedHistory) -> CheckResult:
 
 def check_scope_writes_durable(prep: PreparedHistory) -> CheckResult:
     """Every write belonging to a scope whose Persist call completed
-    survived into the recovered image."""
+    survived into the merged recovered image and into the image of
+    every node holding that scope's commit marker (histories without
+    recorded markers get the merged check only)."""
     res = CheckResult("scope_writes_durable")
+    holders: Dict[int, List[int]] = {}
+    images: Dict[int, Dict[int, Version]] = {}
+    for node, scope_ids in (prep.history.recovered.get("scopes")
+                            or {}).items():
+        if scope_ids:
+            images[int(node)] = prep.history.recovered_versions(int(node))
+        for scope_id in scope_ids:
+            holders.setdefault(scope_id, []).append(int(node))
     for op in prep.completed_writes:
         if op.scope_id is None or op.version is None:
             continue
@@ -124,12 +148,17 @@ def check_scope_writes_durable(prep: PreparedHistory) -> CheckResult:
             continue
         res.checked += 1
         version = tuple(op.version)
-        if prep.recovered.get(op.key, ZERO_VERSION) < version:
-            res.violate(
-                "torn-scope",
-                f"key {op.key}: write {version} of completed scope "
-                f"{op.scope_id} missing from recovered state "
-                f"{prep.recovered.get(op.key, ZERO_VERSION)}", (op,))
+        targets = [("recovered state", prep.recovered)] + [
+            (f"node {node}'s recovered image", images[node])
+            for node in sorted(holders.get(op.scope_id, ()))]
+        for where, image in targets:
+            found = image.get(op.key, ZERO_VERSION)
+            if found < version:
+                res.violate(
+                    "torn-scope",
+                    f"key {op.key}: write {version} of completed scope "
+                    f"{op.scope_id} missing from {where} {found}", (op,))
+                break
     return res
 
 
@@ -156,9 +185,37 @@ def check_recovered_no_phantom(prep: PreparedHistory) -> CheckResult:
     return res
 
 
+def check_monotonic_reads(prep: PreparedHistory) -> CheckResult:
+    """Within each client session, per-key read versions never go
+    backward (reads of unattributable or squashed versions excluded)."""
+    res = CheckResult("monotonic_reads")
+    last: Dict[Tuple[int, int, int], HistoryOpRecord] = {}
+    excluded = 0
+    for op in prep.completed_reads:
+        if op.version is None:
+            continue
+        if prep.observation_effect(op) is not True:
+            excluded += 1
+            continue
+        res.checked += 1
+        slot = (op.client, op.session, op.key)
+        previous = last.get(slot)
+        if previous is not None and tuple(op.version) < tuple(
+                previous.version):
+            res.violate(
+                "monotonic-reads",
+                f"client {op.client} session {op.session} key {op.key}: "
+                f"read {tuple(op.version)} after having read "
+                f"{tuple(previous.version)}", (previous, op))
+        last[slot] = op
+    res.stats["excluded_observations"] = excluded
+    return res
+
+
 DURABILITY_CHECKERS = {
     "completed_writes_durable": check_completed_writes_durable,
     "read_values_durable": check_read_values_durable,
     "scope_writes_durable": check_scope_writes_durable,
     "recovered_no_phantom": check_recovered_no_phantom,
+    "monotonic_reads": check_monotonic_reads,
 }

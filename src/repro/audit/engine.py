@@ -8,6 +8,10 @@ recorded op JSON), and checker cost statistics.  The same document
 feeds the human verdict table (:func:`format_audit_table`), the run
 report's ``audit`` section, and ``repro diff``.
 
+:func:`validate_faulty_run` is the same oracle cut down to one cell: it
+judges a finished cluster run against only its own model's contract
+predicates (:func:`repro.audit.checks_for_cell`).
+
 A history is *unusable* — no verdicts, only a reason — when it was
 truncated by the recorder bound or contains no operations: auditing a
 partial view could both miss real violations and invent false ones.
@@ -20,12 +24,15 @@ from typing import Any, Dict, List, Optional
 
 from repro.audit.checkers import (CONSISTENCY_CHECKERS, CheckResult,
                                   PreparedHistory, check_no_phantom)
-from repro.audit.durability import DURABILITY_CHECKERS, checks_for_cell
-from repro.obs.history import History, HistoryOpRecord
+from repro.audit.durability import (DURABILITY_CHECKERS, HISTORY_ONLY_CHECKS,
+                                    checks_for_cell)
+from repro.obs.history import (History, HistoryOpRecord,
+                               recovered_from_cluster)
 from repro.obs.schemas import AUDIT_REPORT_SCHEMA as AUDIT_SCHEMA
 
 __all__ = ["AUDIT_SCHEMA", "CONSISTENCY_ORDER", "PERSISTENCY_ORDER",
-           "audit_history", "audit_exit_code", "format_audit_table"]
+           "audit_history", "audit_exit_code", "format_audit_table",
+           "validate_faulty_run"]
 
 CONSISTENCY_ORDER = ("linearizable", "read_enforced", "transactional",
                      "causal", "eventual")
@@ -88,6 +95,19 @@ def _timed(checker, prep: PreparedHistory) -> CheckResult:
     return result
 
 
+def _unusable_reason(history) -> Optional[str]:
+    """Why ``history`` (a History or a HistoryRecorder) cannot be
+    judged, or None when it can."""
+    if history is None:
+        return "no history recorded"
+    if history.truncated:
+        return (f"history truncated: recorder dropped {history.dropped} "
+                f"operations")
+    if not history.ops:
+        return "history is empty"
+    return None
+
+
 def _unusable(reason: str, target_consistency: Optional[str],
               target_persistency: Optional[str]) -> Dict[str, Any]:
     target = None
@@ -117,13 +137,9 @@ def audit_history(history: History,
         model_meta = meta
     target_consistency = consistency or model_meta.get("consistency")
     target_persistency = persistency or model_meta.get("persistency")
-    if history.truncated:
-        return _unusable(
-            f"history truncated: recorder dropped {history.dropped} "
-            f"operations", target_consistency, target_persistency)
-    if not history.ops:
-        return _unusable("history is empty", target_consistency,
-                         target_persistency)
+    reason = _unusable_reason(history)
+    if reason is not None:
+        return _unusable(reason, target_consistency, target_persistency)
     prep = PreparedHistory(history)
     by_index = {op.index: op for op in history.ops}
 
@@ -133,7 +149,7 @@ def audit_history(history: History,
         results[name] = _timed(CONSISTENCY_CHECKERS[name], prep)
     durability: Dict[str, CheckResult] = {}
     for name, checker in sorted(DURABILITY_CHECKERS.items()):
-        if prep.recovered_captured:
+        if prep.recovered_captured or name in HISTORY_ONLY_CHECKS:
             durability[name] = _timed(checker, prep)
         else:
             skipped = CheckResult(name, skipped=True)
@@ -215,6 +231,30 @@ def audit_history(history: History,
             "checker_wall_seconds": round(wall_ms / 1000.0, 6),
         },
     }
+
+
+def validate_faulty_run(cluster) -> List[CheckResult]:
+    """Judge a finished run against its own cell's contract predicates.
+
+    Captures the recovered durable state onto the cluster's history
+    recorder (attached automatically when the cluster was built with
+    ``faults=``), then runs every predicate :func:`checks_for_cell`
+    owes the model.  The run is correct iff every result is ok; a
+    missing, empty or truncated history yields one failing ``history``
+    result instead of vacuous passes.
+    """
+    recorder = cluster.history
+    reason = _unusable_reason(recorder)
+    if reason is not None:
+        unusable = CheckResult("history")
+        unusable.violate("unusable-history", reason)
+        return [unusable]
+    recorder.recovered = recovered_from_cluster(cluster)
+    prep = PreparedHistory(recorder.history())
+    model = cluster.model
+    return [DURABILITY_CHECKERS[name](prep)
+            for name in checks_for_cell(model.consistency.value,
+                                        model.persistency.value)]
 
 
 def audit_exit_code(report: Dict[str, Any]) -> int:

@@ -63,8 +63,13 @@ class Cluster:
                  version_board=version_board, membership=self.membership)
             for node_id in range(self.config.servers)
         ]
-        # Optional repro.obs.history.HistoryRecorder for the black-box
-        # audit: attached to every client, pure observation.
+        # Optional repro.obs.history.HistoryRecorder: attached to every
+        # client, pure observation.  A faulted run always records one,
+        # since repro.faults.validate_faulty_run judges it.
+        if history is None and faults is not None:
+            # Deferred: repro.obs imports this module (sweeps).
+            from repro.obs.history import HistoryRecorder
+            history = HistoryRecorder()
         self.history = history
         if history is not None:
             history.sim = self.sim
@@ -84,15 +89,13 @@ class Cluster:
 
     def _build_clients(self, workload: WorkloadSpec) -> None:
         client_id = 0
-        record_ops = self.membership is not None
         for node in self.nodes:
             for _ in range(self.config.clients_per_server):
                 stream = RequestStream(
                     workload, self.rng.fork(f"client{client_id}"))
                 self.clients.append(
                     Client(self.sim, client_id, node.engine, stream,
-                           self.metrics, record_ops=record_ops,
-                           history=self.history))
+                           self.metrics, history=self.history))
                 client_id += 1
 
     # -- running --------------------------------------------------------------------

@@ -11,14 +11,17 @@ same seed + same plan => byte-identical traces.
   schedules a plan onto a cluster (same observe-only attachment
   discipline as :class:`repro.obs.HealthMonitor`: an injector with an
   empty plan perturbs nothing).
-* :mod:`repro.faults.validate` — post-run invariant validation using
-  the :mod:`repro.recovery.checker` contracts each model makes.
+
+:func:`validate_faulty_run` (re-exported from :mod:`repro.audit`)
+judges a finished faulty run against its model's own contract
+predicates, over the history the cluster records when built with
+``faults=``.
 """
 
+from repro.audit import validate_faulty_run
 from repro.faults.injector import FaultInjector, faults_json
 from repro.faults.plan import (FaultEvent, FaultPlan, load_fault_plan,
                                parse_crash_spec, plan_from_crash_specs)
-from repro.faults.validate import validate_faulty_run
 
 __all__ = [
     "FaultEvent",

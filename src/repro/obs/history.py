@@ -98,19 +98,26 @@ class History:
     ops: List[HistoryOpRecord]
     recovered: Dict[str, Any]
     """``{"merged": {key: {"version": [s, n], "value": v}},
-    "per_node": {node: {key: ...}}}`` — durable state recovered after
-    the run (empty when recovery was not captured)."""
+    "per_node": {node: {key: ...}}, "scopes": {node: [scope_id, ...]}}``
+    — durable state recovered after the run (empty when recovery was not
+    captured; ``scopes``, each node's durable scope commit markers, is
+    absent from histories saved before it was recorded)."""
     dropped: int = 0
 
     @property
     def truncated(self) -> bool:
         return self.dropped > 0
 
-    def recovered_versions(self) -> Dict[int, Version]:
-        """Merged recovered state as ``{key: version}`` tuples."""
-        merged = self.recovered.get("merged", {}) if self.recovered else {}
+    def recovered_versions(self, node: Optional[int] = None
+                           ) -> Dict[int, Version]:
+        """Recovered state as ``{key: version}`` tuples: the merged image,
+        or ``node``'s own image."""
+        if node is None:
+            image = self.recovered.get("merged", {})
+        else:
+            image = self.recovered.get("per_node", {}).get(str(node), {})
         out: Dict[int, Version] = {}
-        for key, entry in merged.items():
+        for key, entry in image.items():
             version = entry.get("version") if isinstance(entry, dict) else None
             if version is not None:
                 out[int(key)] = (int(version[0]), int(version[1]))
@@ -227,7 +234,8 @@ class HistoryRecorder:
 
 def recovered_from_cluster(cluster) -> Dict[str, Any]:
     """Capture the post-run durable state the persistency contracts are
-    judged against: what NVM recovery would yield, per node and merged.
+    judged against: what NVM recovery would yield, per node and merged,
+    plus each node's durable scope commit markers.
 
     Runs after the simulation has stopped and only *reads* the durable
     log, so it cannot perturb the run it observes.
@@ -246,7 +254,9 @@ def recovered_from_cluster(cluster) -> Dict[str, Any]:
         for node_id in node_ids
     }
     merged = entries_json(recover_latest(cluster.nvm_log, node_ids).entries)
-    return {"merged": merged, "per_node": per_node}
+    scopes = {str(node_id): cluster.nvm_log.committed_scopes(node_id)
+              for node_id in node_ids}
+    return {"merged": merged, "per_node": per_node, "scopes": scopes}
 
 
 # ---------------------------------------------------------------------------

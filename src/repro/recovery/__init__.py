@@ -1,12 +1,5 @@
-"""Recovery substrate: durable logs, crash recovery, invariant checkers."""
+"""Recovery substrate: durable logs and crash recovery."""
 
-from repro.recovery.checker import (
-    CheckResult,
-    check_completed_writes_recovered,
-    check_monotonic_reads,
-    check_read_values_recovered,
-    check_scope_atomicity,
-)
 from repro.recovery.log import DurableEntry, NvmLog
 from repro.recovery.recovery import (
     RecoveredState,
@@ -17,16 +10,11 @@ from repro.recovery.recovery import (
 from repro.recovery.replayer import RecoveryReplayer, RecoveryReport
 
 __all__ = [
-    "CheckResult",
     "DurableEntry",
     "NvmLog",
     "RecoveredState",
     "RecoveryReplayer",
     "RecoveryReport",
-    "check_completed_writes_recovered",
-    "check_monotonic_reads",
-    "check_read_values_recovered",
-    "check_scope_atomicity",
     "recover_latest",
     "recover_majority",
     "recovery_divergence",

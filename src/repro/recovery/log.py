@@ -94,6 +94,10 @@ class NvmLog:
     def is_scope_committed(self, node_id: int, scope_id: int) -> bool:
         return scope_id in self._committed_scopes[node_id]
 
+    def committed_scopes(self, node_id: int) -> List[int]:
+        """Scope ids whose commit marker is durable at ``node_id``."""
+        return sorted(self._committed_scopes[node_id])
+
     def all_keys(self) -> Set[int]:
         keys: Set[int] = set()
         for image in self._images.values():

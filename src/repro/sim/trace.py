@@ -2,8 +2,8 @@
 
 A :class:`Tracer` collects structured trace records (time, category,
 node, details).  Protocol engines emit traces for message sends, state
-transitions, persists, and stalls; tests and the recovery checker replay
-them to validate protocol invariants, debugging dumps them as text, and
+transitions, persists, and stalls; tests replay them to validate
+protocol invariants, debugging dumps them as text, and
 :mod:`repro.obs` exports them to Chrome ``trace_event`` JSON / JSONL
 timelines.
 

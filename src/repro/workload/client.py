@@ -39,9 +39,7 @@ class Client:
     """One closed-loop client thread."""
 
     def __init__(self, sim: Simulator, client_id: int, node: ProtocolNode,
-                 stream: RequestStream, metrics: Metrics,
-                 record_reads: bool = False, record_ops: bool = False,
-                 history=None):
+                 stream: RequestStream, metrics: Metrics, history=None):
         self.sim = sim
         self.client_id = client_id
         self.node = node
@@ -58,29 +56,14 @@ class Client:
         # sanitizer's byte-identity sweeps) need: the same operation
         # multiset regardless of how the schedule interleaves.
         self.max_requests: Optional[int] = None
-        # Optional repro.obs.history.HistoryRecorder: the black-box
-        # audit's view of this client (pure observation; never touches
-        # the simulation).
+        # Optional repro.obs.history.HistoryRecorder: the audit's view
+        # of this client (pure observation; never touches the
+        # simulation).
         self.history = history
         # The logical operation currently in flight, as (op, key) —
         # cleared on completion.  Lets the fault injector count
         # crash-severed operations even without a recorder attached.
         self.in_flight = None
-        # Optional session log of (key, version) read observations, for
-        # validating session guarantees (monotonic reads, Table 4).
-        # ``record_ops`` additionally logs completed writes, committed
-        # transaction writes, and completed scopes, for the durability
-        # contracts checked by repro.faults.validate after faulty runs
-        # (and implies read recording).
-        self.record_reads = record_reads or record_ops
-        self.record_ops = record_ops
-        self.read_observations: List[tuple] = []
-        self.completed_writes: List[tuple] = []
-        self.scope_log: dict = {}
-        # Read sessions closed by a crash-restart of the client's node:
-        # session guarantees (monotonic reads) hold within a session,
-        # and a restart starts a fresh one.
-        self._closed_read_sessions: List[List[tuple]] = []
 
     def start(self) -> None:
         self.process = self.sim.process(self._run(),
@@ -101,13 +84,9 @@ class Client:
         in-flight operation, like a real client losing its server); this
         opens a fresh session: new context (causal dependencies, scopes,
         and transactions do not survive the server's volatile state) and
-        a new read-session segment.  Durable-contract logs
-        (``completed_writes``, ``scope_log``) span sessions — completed
-        work stays completed across a crash.
+        a new history session.  Completed work stays completed across a
+        crash: the history keeps the earlier sessions' operations.
         """
-        if self.read_observations:
-            self._closed_read_sessions.append(self.read_observations)
-            self.read_observations = []
         if self.history is not None:
             # New session, degraded era: the node rebuilt from its own
             # NVM image only, so this session may observe stale state.
@@ -115,13 +94,6 @@ class Client:
         self.ctx = ClientContext(self.client_id, self.node.node_id)
         self._stop = False
         self.start()
-
-    def read_sessions(self) -> List[List[tuple]]:
-        """All read-session segments, oldest first (see ``restart``)."""
-        sessions = list(self._closed_read_sessions)
-        if self.read_observations:
-            sessions.append(self.read_observations)
-        return sessions
 
     # ------------------------------------------------------------------
 
@@ -179,17 +151,11 @@ class Client:
                 self.history.complete(self.client_id,
                                       version=self.ctx.last_read_version,
                                       value=result)
-            if self.record_reads:
-                self.read_observations.append(
-                    (key, self.ctx.last_read_version))
         else:
             yield from self.node.client_write(self.ctx, key, value)
             if self.history is not None:
                 self.history.complete(self.client_id,
                                       version=self.ctx.last_write_version)
-            if self.record_ops:
-                self.completed_writes.append(
-                    (key, self.ctx.last_write_version))
         self.in_flight = None
         self._record(op, key, start)
         return 1
@@ -197,7 +163,6 @@ class Client:
     def _run_scope_persist(self) -> Generator:
         start = self.sim.now
         scope_id = self.ctx.current_scope_id
-        scope_writes = list(self.ctx.scope_writes)
         self.in_flight = ("persist", None)
         if self.history is not None:
             self.history.invoke(self.client_id, self.node.node_id,
@@ -206,10 +171,6 @@ class Client:
         if self.history is not None:
             self.history.complete(self.client_id, committed=True)
         self.in_flight = None
-        if self.record_ops and scope_writes:
-            # Recorded only on completion: an interrupted Persist leaves
-            # the scope uncommitted, which makes no durability promise.
-            self.scope_log[scope_id] = scope_writes
         self._record("persist", None, start)
 
     # -- transactions ------------------------------------------------------------------
@@ -272,11 +233,6 @@ class Client:
                            * min(attempt, _MAX_BACKOFF_MULTIPLIER))
                 yield self.sim.timeout(backoff)
                 continue
-            if self.record_ops and txn is not None:
-                # A committed transaction's writes are the durable unit
-                # (individual writes inside an uncommitted transaction
-                # promise nothing).
-                self.completed_writes.extend(txn.writes)
             # Success: record every request of the transaction.  Reads and
             # writes inside a committed transaction are not final until
             # ENDX, but the paper measures their individual completions.

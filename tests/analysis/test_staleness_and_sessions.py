@@ -2,18 +2,20 @@
 
 Table 4's programmer-intuition column says which models provide
 monotonic reads.  Here we *validate it empirically*: live workload runs
-with per-client read logs are checked with the monotonic-read checker,
-and the VersionBoard quantifies how stale reads get per model.
+recorded by a HistoryRecorder are checked with the audit's
+monotonic-reads predicate, and the VersionBoard quantifies how stale
+reads get per model.
 """
 
 import pytest
 
 from repro.analysis.staleness import VersionBoard
+from repro.audit import PreparedHistory, check_monotonic_reads
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.tradeoffs import analyze
-from repro.recovery.checker import check_monotonic_reads
+from repro.obs.history import HistoryRecorder
 from repro.workload.client import Client
 from repro.workload.ycsb import WORKLOADS, RequestStream
 
@@ -56,15 +58,15 @@ def run_with_recording(consistency, persistency, duration_ns=60_000):
     cluster = Cluster(DdpModel(consistency, persistency),
                       config=ClusterConfig(servers=3, clients_per_server=4,
                                            store_type=None),
-                      version_board=board)
-    # Build recording clients by hand (Cluster's default ones don't log).
+                      version_board=board, history=HistoryRecorder())
+    # Build the clients by hand, on streams of their own.
     for client_id in range(12):
         node = cluster.nodes[client_id % 3]
         stream = RequestStream(WORKLOADS["A"],
                                cluster.rng.fork(f"rc{client_id}"))
         cluster.clients.append(Client(cluster.sim, client_id, node.engine,
                                       stream, cluster.metrics,
-                                      record_reads=True))
+                                      history=cluster.history))
     cluster.run(duration_ns=duration_ns, warmup_ns=duration_ns / 10)
     return cluster, board
 
@@ -81,9 +83,10 @@ class TestLiveSessionGuarantees:
         """Every model Table 4 marks monotonic passes the live check."""
         assert analyze(DdpModel(consistency, persistency)).monotonic_reads
         cluster, _board = run_with_recording(consistency, persistency)
-        for client in cluster.clients:
-            result = check_monotonic_reads(client.read_observations)
-            assert result.ok, (consistency, persistency, result.violations)
+        result = check_monotonic_reads(
+            PreparedHistory(cluster.history.history()))
+        assert result.checked > 0
+        assert result.ok, (consistency, persistency, result.details)
 
     def test_linearizable_reads_never_stale(self):
         _cluster, board = run_with_recording(C.LINEARIZABLE, P.SYNCHRONOUS)

@@ -18,9 +18,11 @@ from repro.audit.checkers import (CONSISTENCY_CHECKERS, PreparedHistory,
                                   check_no_phantom, check_read_enforced,
                                   check_transactional)
 from repro.audit.durability import (check_completed_writes_durable,
+                                    check_monotonic_reads,
                                     check_read_values_durable,
                                     check_recovered_no_phantom,
                                     check_scope_writes_durable)
+from repro.core.replica import ZERO_VERSION
 from repro.obs.history import History, HistoryOpRecord
 
 
@@ -308,6 +310,34 @@ class TestDurability:
         ], recovered={5: (2, 0)})
         assert check_scope_writes_durable(prep).ok
 
+    def test_torn_scope_at_marker_holding_node(self):
+        # Restarted clients reuse scope ids, and NvmLog keys commit
+        # markers by the bare id: both completed scopes are owed at every
+        # node holding marker 1_000_000, so the pre-crash write missing
+        # from node 1's image is torn even though the merged image has it.
+        history = _history([
+            (1, "write", 5, (2, 0), 0.0, 1.0, {"scope_id": 1_000_000}),
+            (1, "persist", None, None, 2.0, 3.0,
+             {"scope_id": 1_000_000, "committed": True}),
+            (1, "write", 6, (3, 1), 4.0, 5.0,
+             {"scope_id": 1_000_000, "session": 1, "degraded": True}),
+            (1, "persist", None, None, 6.0, 7.0,
+             {"scope_id": 1_000_000, "committed": True, "session": 1,
+              "degraded": True}),
+        ], recovered={5: (2, 0), 6: (3, 1)})
+        image = history.recovered["merged"]
+        history.recovered["per_node"] = {
+            "0": dict(image), "1": {"6": image["6"]}}
+        history.recovered["scopes"] = {"0": [1_000_000], "1": [1_000_000]}
+        res = check_scope_writes_durable(PreparedHistory(history))
+        assert not res.ok and res.violations == 1
+        assert res.details[0]["rule"] == "torn-scope"
+        assert "node 1" in res.details[0]["detail"]
+        assert res.details[0]["ops"] == [0]
+        # Without the marker at node 1 nothing is owed there.
+        history.recovered["scopes"] = {"0": [1_000_000], "1": []}
+        assert check_scope_writes_durable(PreparedHistory(history)).ok
+
     def test_recovered_phantom(self):
         prep = _prep([
             (1, "write", 5, (2, 0), 0.0, 1.0),
@@ -323,6 +353,42 @@ class TestDurability:
         res = check_recovered_no_phantom(prep)
         assert res.ok
         assert res.stats["skipped_keys"] == 1
+
+
+class TestMonotonicReads:
+    def test_step_back_within_session(self):
+        prep = _prep([
+            (1, "write", 5, (1, 0), 0.0, 1.0),
+            (1, "write", 5, (2, 0), 2.0, 3.0),
+            (2, "read", 5, (2, 0), 4.0, 5.0),
+            (2, "read", 5, (1, 0), 6.0, 7.0),
+        ])
+        res = check_monotonic_reads(prep)
+        assert not res.ok
+        assert res.details[0]["rule"] == "monotonic-reads"
+        assert res.details[0]["ops"] == [2, 3]
+
+    def test_restart_opens_a_new_session(self):
+        prep = _prep([
+            (1, "write", 5, (1, 0), 0.0, 1.0),
+            (1, "write", 5, (2, 0), 2.0, 3.0),
+            (2, "read", 5, (2, 0), 4.0, 5.0),
+            (2, "read", 5, (1, 0), 6.0, 7.0,
+             {"session": 1, "degraded": True}),
+        ])
+        res = check_monotonic_reads(prep)
+        assert res.ok and res.checked == 2
+
+    def test_squashed_observation_excluded(self):
+        prep = _prep([
+            (1, "write", 5, (2, 0), 0.0, 1.0,
+             {"txn_id": 9, "committed": False}),
+            (2, "read", 5, (2, 0), 2.0, 3.0),
+            (2, "read", 5, ZERO_VERSION, 4.0, 5.0),
+        ])
+        res = check_monotonic_reads(prep)
+        assert res.ok
+        assert res.stats["excluded_observations"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +429,7 @@ def test_no_false_positives_on_sequential_histories(specs):
     for name, checker in CONSISTENCY_CHECKERS.items():
         assert checker(prep).ok, name
     assert check_no_phantom(prep).ok
+    assert check_monotonic_reads(prep).ok
 
 
 @st.composite

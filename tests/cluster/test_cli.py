@@ -236,6 +236,32 @@ class TestCommands:
         assert code == 1
         assert "target <linearizable, strict>: FAIL" in out
 
+    FAULTED_RUN = ["run", "--consistency", "linearizable",
+                   "--persistency", "strict", "--servers", "3",
+                   "--clients", "6", "--duration-us", "60",
+                   "--crash", "1@20+15"]
+
+    def test_faulted_run_checks_its_contracts(self, capsys):
+        code = main(self.FAULTED_RUN)
+        out = capsys.readouterr().out
+        assert code == 0
+        for name in ("recovered_no_phantom", "completed_writes_durable",
+                     "monotonic_reads"):
+            assert f"check    :  {name:28s} ok" in out
+
+    def test_faulted_run_prints_violated_rule_and_exits_1(self, capsys,
+                                                         monkeypatch):
+        # Recovery that lost every durable entry: the acknowledged
+        # writes the Strict cell owes are gone.
+        monkeypatch.setattr(
+            "repro.audit.engine.recovered_from_cluster",
+            lambda cluster: {"merged": {}, "per_node": {}, "scopes": {}})
+        code = main(self.FAULTED_RUN)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "completed_writes_durable     VIOLATED" in out
+        assert "[lost-durable-write] key " in out
+
     def test_audit_json_document(self, capsys, tmp_path):
         history_path = tmp_path / "history.jsonl"
         out_path = tmp_path / "audit.json"

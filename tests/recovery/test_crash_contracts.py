@@ -20,12 +20,11 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
+from repro.audit import (PreparedHistory, check_completed_writes_durable,
+                         check_read_values_durable,
+                         check_scope_writes_durable)
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
-from repro.recovery.checker import (
-    check_completed_writes_recovered,
-    check_read_values_recovered,
-    check_scope_atomicity,
-)
+from repro.obs.history import HistoryRecorder, recovered_from_cluster
 from repro.recovery.recovery import (
     recover_latest,
     recover_majority,
@@ -36,7 +35,8 @@ from repro.recovery.recovery import (
 def build(consistency, persistency):
     cluster = Cluster(DdpModel(consistency, persistency),
                       config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None))
+                                           store_type=None),
+                      history=HistoryRecorder())
     cluster.start()
     return cluster
 
@@ -45,33 +45,54 @@ def run_to_completion(cluster, generator):
     return cluster.sim.run_until_complete(cluster.sim.process(generator))
 
 
+def judge(cluster, check):
+    """Run one contract predicate over the cluster's recorded history
+    and its recovered durable state."""
+    cluster.history.recovered = recovered_from_cluster(cluster)
+    return check(PreparedHistory(cluster.history.history()))
+
+
+def failures(result):
+    return [f"[{d['rule']}] {d['detail']}" for d in result.details]
+
+
 class ScriptedClient:
-    """Drives ops on one engine, recording completed writes and reads."""
+    """Drives ops on one engine, recording each into the cluster's
+    history exactly as a workload client does."""
 
     def __init__(self, cluster, node=0, client_id=0):
         self.cluster = cluster
+        self.history = cluster.history
+        self.node = node
+        self.client_id = client_id
         self.engine = cluster.engines[node]
         self.ctx = ClientContext(client_id, node)
-        self.completed_writes = []   # (key, version)
-        self.observed_reads = []     # (key, version)
 
     def write(self, key, value):
+        scoped = self.engine.model.persistency is P.SCOPE
+        self.history.invoke(self.client_id, self.node, "write", key,
+                            value=value,
+                            scope_id=(self.ctx.current_scope_id
+                                      if scoped else None))
         run_to_completion(self.cluster,
                           self.engine.client_write(self.ctx, key, value))
-        replica = self.engine.replicas.get(key)
-        self.completed_writes.append((key, replica.applied_version))
+        self.history.complete(self.client_id,
+                              version=self.ctx.last_write_version)
 
     def read(self, key):
+        self.history.invoke(self.client_id, self.node, "read", key)
         value = run_to_completion(self.cluster,
                                   self.engine.client_read(self.ctx, key))
-        replica = self.engine.replicas.get(key)
-        if self.engine.ppolicy.read_returns_persisted \
-                and not self.engine.cpolicy.uses_inv:
-            version = replica.persisted_version
-        else:
-            version = replica.applied_version
-        self.observed_reads.append((key, version))
+        self.history.complete(self.client_id,
+                              version=self.ctx.last_read_version, value=value)
         return value
+
+    def persist_scope(self):
+        self.history.invoke(self.client_id, self.node, "persist", None,
+                            scope_id=self.ctx.current_scope_id)
+        run_to_completion(self.cluster,
+                          self.engine.client_persist_scope(self.ctx))
+        self.history.complete(self.client_id, committed=True)
 
 
 @pytest.mark.parametrize("consistency,persistency", [
@@ -86,10 +107,9 @@ def test_completed_writes_survive_full_crash(consistency, persistency):
     for i in range(20):
         client.write(i % 7, f"value-{i}")
     cluster.crash_all()
-    recovered = recover_latest(cluster.nvm_log, range(3))
-    result = check_completed_writes_recovered(recovered,
-                                              client.completed_writes)
-    assert result.ok, result.violations
+    result = judge(cluster, check_completed_writes_durable)
+    assert result.ok, failures(result)
+    assert result.checked == 20
 
 
 @pytest.mark.parametrize("consistency", [C.LINEARIZABLE, C.READ_ENFORCED,
@@ -101,9 +121,9 @@ def test_read_enforced_persistency_read_values_survive(consistency):
         client.write(i % 5, f"v{i}")
         client.read(i % 5)
     cluster.crash_all()
-    recovered = recover_latest(cluster.nvm_log, range(3))
-    result = check_read_values_recovered(recovered, client.observed_reads)
-    assert result.ok, result.violations
+    result = judge(cluster, check_read_values_durable)
+    assert result.ok, failures(result)
+    assert result.checked > 0
 
 
 def test_causal_synchronous_read_values_survive():
@@ -116,9 +136,9 @@ def test_causal_synchronous_read_values_survive():
         client.write(i % 4, f"v{i}")
         client.read(i % 4)
     cluster.crash_all()
-    recovered = recover_latest(cluster.nvm_log, range(3))
-    result = check_read_values_recovered(recovered, client.observed_reads)
-    assert result.ok, result.violations
+    result = judge(cluster, check_read_values_durable)
+    assert result.ok, failures(result)
+    assert result.checked > 0
 
 
 def test_eventual_eventual_may_lose_unpersisted_writes():
@@ -138,18 +158,15 @@ def test_scope_atomicity_across_crash():
     # Scope 1: complete and persisted.
     client.write(1, "a")
     client.write(2, "b")
-    first_scope = client.ctx.current_scope_id
-    first_writes = list(client.ctx.scope_writes)
-    run_to_completion(cluster,
-                      client.engine.client_persist_scope(client.ctx))
+    client.persist_scope()
     # Scope 2: written but never persisted — lost on the crash.
     client.write(3, "c")
     second_writes = [(3, cluster.engines[0].replicas.get(3).applied_version)]
     cluster.crash_all()
 
-    result = check_scope_atomicity(cluster.nvm_log, range(3),
-                                   {first_scope: first_writes})
-    assert result.ok, result.violations
+    result = judge(cluster, check_scope_writes_durable)
+    assert result.ok, failures(result)
+    assert result.checked == 2
     recovered = recover_latest(cluster.nvm_log, range(3))
     assert recovered.value_of(1) == "a"
     assert recovered.value_of(2) == "b"

@@ -1,14 +1,15 @@
-"""Tests for the NVM log, recovery algorithms, and checkers."""
+"""Tests for the NVM log, recovery algorithms, and the contract
+predicates judged against a log's recovered image."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.audit import (PreparedHistory, check_completed_writes_durable,
+                         check_monotonic_reads, check_read_values_durable,
+                         check_scope_writes_durable)
 from repro.core.replica import ZERO_VERSION
-from repro.recovery.checker import (
-    check_completed_writes_recovered,
-    check_monotonic_reads,
-    check_read_values_recovered,
-    check_scope_atomicity,
-)
+from repro.obs.history import History, HistoryOpRecord, recovered_from_cluster
 from repro.recovery.log import NvmLog
 from repro.recovery.recovery import (
     recover_latest,
@@ -103,52 +104,79 @@ class TestRecovery:
         assert divergence[2] == 1
 
 
+def prepared(log, ops):
+    """A history of ``(client, op, key, version, extras)`` operations,
+    completed in order, judged against ``log``'s recovered image."""
+    records = [
+        HistoryOpRecord(index=index, client=client, session=0, node=0,
+                        op=op, key=key, value=None, invoke_us=2.0 * index,
+                        respond_us=2.0 * index + 1.0, version=version,
+                        **extras)
+        for index, (client, op, key, version, extras) in enumerate(ops)]
+    cluster = SimpleNamespace(nvm_log=log,
+                              config=SimpleNamespace(servers=len(NODES)))
+    return PreparedHistory(History(meta={}, ops=records,
+                                   recovered=recovered_from_cluster(cluster)))
+
+
 class TestCheckers:
     def test_completed_writes_recovered_pass(self, log):
         log.record(0, 1, (3, 0), "v")
-        recovered = recover_latest(log, NODES)
-        result = check_completed_writes_recovered(recovered, [(1, (3, 0))])
-        assert result.ok
+        prep = prepared(log, [(0, "write", 1, (3, 0), {})])
+        assert check_completed_writes_durable(prep).ok
 
     def test_completed_writes_recovered_fail(self, log):
         log.record(0, 1, (1, 0), "v")
-        recovered = recover_latest(log, NODES)
-        result = check_completed_writes_recovered(recovered, [(1, (5, 0))])
+        prep = prepared(log, [(0, "write", 1, (5, 0), {})])
+        result = check_completed_writes_durable(prep)
         assert not result.ok
-        assert "lost" in result.violations[0]
+        assert result.details[0]["rule"] == "lost-durable-write"
 
     def test_read_values_recovered_ignores_initial_reads(self, log):
-        recovered = recover_latest(log, NODES)
-        result = check_read_values_recovered(recovered, [(1, ZERO_VERSION)])
-        assert result.ok
+        prep = prepared(log, [(0, "read", 1, ZERO_VERSION, {})])
+        assert check_read_values_durable(prep).ok
 
     def test_read_values_recovered_fail(self, log):
-        recovered = recover_latest(log, NODES)
-        result = check_read_values_recovered(recovered, [(1, (2, 0))])
+        prep = prepared(log, [(0, "write", 1, (2, 0), {}),
+                              (1, "read", 1, (2, 0), {})])
+        result = check_read_values_durable(prep)
         assert not result.ok
+        assert result.details[0]["rule"] == "lost-read-value"
 
     def test_scope_atomicity_committed_complete(self, log):
         log.record(0, 1, (1, 0), "a", scope_id=7)
         log.record(0, 2, (1, 0), "b", scope_id=7)
         log.commit_scope(0, 7)
-        result = check_scope_atomicity(
-            log, [0], {7: [(1, (1, 0)), (2, (1, 0))]})
-        assert result.ok
+        prep = prepared(log, [
+            (0, "write", 1, (1, 0), {"scope_id": 7}),
+            (0, "write", 2, (1, 0), {"scope_id": 7}),
+            (0, "persist", None, None, {"scope_id": 7, "committed": True})])
+        result = check_scope_writes_durable(prep)
+        assert result.ok and result.checked == 2
 
     def test_scope_atomicity_partial_discarded(self, log):
         log.record(0, 1, (1, 0), "a", scope_id=7)
         # Crash before commit: scope is simply not recoverable — that is
         # legal (all-or-nothing), so the checker passes.
-        result = check_scope_atomicity(
-            log, [0], {7: [(1, (1, 0)), (2, (1, 0))]})
-        assert result.ok
+        prep = prepared(log, [(0, "write", 1, (1, 0), {"scope_id": 7}),
+                              (0, "write", 2, (1, 0), {"scope_id": 7})])
+        assert check_scope_writes_durable(prep).ok
         assert log.durable_entry(0, 1) is None
 
-    def test_monotonic_reads_pass(self):
-        result = check_monotonic_reads([(1, (1, 0)), (1, (2, 0)), (2, (1, 0))])
-        assert result.ok
+    def test_monotonic_reads_pass(self, log):
+        prep = prepared(log, [(1, "write", 1, (1, 0), {}),
+                              (1, "write", 1, (2, 0), {}),
+                              (1, "write", 2, (1, 0), {}),
+                              (0, "read", 1, (1, 0), {}),
+                              (0, "read", 1, (2, 0), {}),
+                              (0, "read", 2, (1, 0), {})])
+        assert check_monotonic_reads(prep).ok
 
-    def test_monotonic_reads_fail(self):
-        result = check_monotonic_reads([(1, (2, 0)), (1, (1, 0))])
+    def test_monotonic_reads_fail(self, log):
+        prep = prepared(log, [(1, "write", 1, (1, 0), {}),
+                              (1, "write", 1, (2, 0), {}),
+                              (0, "read", 1, (2, 0), {}),
+                              (0, "read", 1, (1, 0), {})])
+        result = check_monotonic_reads(prep)
         assert not result.ok
-        assert result.violations
+        assert result.details[0]["rule"] == "monotonic-reads"
