@@ -28,7 +28,7 @@ invariant* the test suite asserts for every DDP model.
 :class:`WaterfallReport` (whole run, per coordinator node, and per
 key-hotness class), :func:`format_waterfall` renders it as a text
 waterfall, and :func:`waterfall_json` shapes it for the
-``repro.run_report/6`` artifact.
+``repro.run_report/7`` artifact.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ def format_waterfall(report: WaterfallReport, show_slowest: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# JSON shaping (for repro.run_report/6)
+# JSON shaping (for repro.run_report/7)
 # ---------------------------------------------------------------------------
 
 

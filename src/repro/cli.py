@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="track every Nth write (default: 1)")
     journey_parser.add_argument("--journey-out", metavar="PATH", default=None,
                                 help="write the run-report JSON "
-                                     "(repro.run_report/6) with the "
+                                     "(repro.run_report/7) with the "
                                      "journeys section (single model only)")
 
     profile_parser = subparsers.add_parser(

@@ -1248,13 +1248,13 @@ class ProtocolNode:
             handle_start = self.sim.now
         yield from self._charge_protocol_cpu()
         handler = self._handlers[message.msg_type](message)
-        profile = self.sim.profile
-        if profile is None:
+        hook = self.sim.hook
+        if hook is None:
             yield from handler
         else:
-            # Transparent timing shim: yields the same events in the same
-            # order, so the run stays byte-identical (see KernelProfile).
-            yield from profile.drive_handler(message.msg_type.value, handler)
+            # Transparent shim: yields the same events in the same order,
+            # so the run stays byte-identical (see StepHook.drive_handler).
+            yield from hook.drive_handler(message.msg_type.value, handler)
         if tracing:
             self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
                              dur=self.sim.now - handle_start,

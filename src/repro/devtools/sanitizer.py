@@ -4,15 +4,17 @@ certificate.
 The static effect analysis (:mod:`repro.devtools.effects`) proves that
 same-timestamp message handlers *should* commute on protocol state.
 This module checks the claim on real runs: a
-:class:`TieBatchSanitizer` attaches to a :class:`~repro.sim.engine.
-Simulator` (same opt-in contract as ``KernelProfile`` — ``None`` by
-default, one ``is not None`` check, off-path free) and observes every
-*tie batch*, the set of heap entries popped at one identical timestamp.
-In sanitizing mode it deterministically permutes each batch's
-processing order with a :class:`~repro.sim.rng.SeededStream`
-(Fisher–Yates), and :func:`sweep` asserts that the final protocol-state
-digest is byte-identical to the unpermuted baseline for every DDP
-model.
+:class:`TieBatchSanitizer` is the second :class:`~repro.sim.engine.
+StepHook` (``KernelProfile`` is the first; a simulator holds one) and
+observes every *tie batch*: the heap entries queued at one identical
+timestamp when the first of them is about to pop.  Entries scheduled
+at that timestamp while the batch runs form a later batch, since they
+carry larger sequence numbers.  In sanitizing mode it deterministically
+permutes each batch's processing order with a
+:class:`~repro.sim.rng.SeededStream` (Fisher–Yates) by reassigning the
+batch's sequence numbers in place, and :func:`sweep` asserts that the
+final protocol-state digest is byte-identical to the unpermuted
+baseline for every DDP model.
 
 What gets permuted — and what must stay seq-stable
 --------------------------------------------------
@@ -61,10 +63,12 @@ which must map back to a flagged pair, or the static pass has a hole.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.engine import StepHook
 from repro.sim.rng import SeededStream
 
 __all__ = [
@@ -77,7 +81,7 @@ __all__ = [
 ]
 
 
-class TieBatchSanitizer:
+class TieBatchSanitizer(StepHook):
     """Observe (and optionally permute) same-timestamp pop batches.
 
     ``seed=None`` is *record* mode: batches are observed, order is
@@ -103,9 +107,33 @@ class TieBatchSanitizer:
         self.pair_counts: Dict[Tuple[str, str], int] = {}
         """Sorted (label, label) -> co-occurrence count.  Labels are
         message-type names for deliveries, event kinds otherwise."""
+        # The batch being popped: its timestamp and largest sequence
+        # number (every later entry at that timestamp is a new batch).
+        self._batch_when: Optional[float] = None
+        self._batch_last_seq = -1
 
-    def attach(self, sim) -> None:
-        sim.order_sanitizer = self
+    def before_pop(self, heap: List) -> None:
+        """At a batch's first pop: observe it and, when sanitizing,
+        put its permuted order into the heap."""
+        when, seq, _event = heap[0]
+        if when == self._batch_when and seq <= self._batch_last_seq:
+            return
+        self._batch_when = when
+        # The root's children hold the second-smallest entry: no tie
+        # there means a batch of one, with nothing to pop and re-push.
+        depth = len(heap)
+        if ((depth < 2 or heap[1][0] != when)
+                and (depth < 3 or heap[2][0] != when)):
+            self._batch_last_seq = seq
+            return
+        batch = [heapq.heappop(heap)]
+        while heap and heap[0][0] == when:
+            batch.append(heapq.heappop(heap))
+        seqs = [entry[1] for entry in batch]
+        self._batch_last_seq = seqs[-1]
+        self.observe(when, batch)
+        for new_seq, entry in zip(seqs, batch):
+            heapq.heappush(heap, (when, new_seq, entry[2]))
 
     @staticmethod
     def _label(event) -> str:

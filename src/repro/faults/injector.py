@@ -283,7 +283,7 @@ class FaultInjector:
 
 
 def faults_json(injector: FaultInjector) -> Dict[str, Any]:
-    """Build the ``faults`` section of a ``repro.run_report/6`` document."""
+    """Build the ``faults`` section of a ``repro.run_report/7`` document."""
     cluster = injector._cluster
     membership = injector._membership
     network = cluster.network if cluster is not None else None

@@ -34,7 +34,7 @@ Storage is bounded (``max_samples`` / ``max_violations`` with
 ``dropped`` counters) so long runs cannot grow without limit.  The
 sample stream exports as Chrome ``counter`` events on a ``health`` lane
 (:func:`health_chrome_events`) and folds into the run report
-(:func:`health_json`, the ``health`` section of ``repro.run_report/6``).
+(:func:`health_json`, the ``health`` section of ``repro.run_report/7``).
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ class HealthMonitor:
 # ---------------------------------------------------------------------------
 
 def health_json(monitor: HealthMonitor) -> Dict[str, Any]:
-    """The ``health`` section of the ``repro.run_report/6`` artifact."""
+    """The ``health`` section of the ``repro.run_report/7`` artifact."""
     samples = monitor.samples
     nodes = range(len(monitor._memories))
     return {

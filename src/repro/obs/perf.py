@@ -281,8 +281,6 @@ def format_hotspots(profile: Any, top: Optional[int] = None) -> str:
         "",
         "scheduling: "
         f"max tie-batch {scheduling['max_tie_batch']}, "
-        f"defused ratio {scheduling['defused_ratio']:.4f}, "
-        f"{scheduling['callbacks_cancelled']} callbacks cancelled, "
-        f"{scheduling['hops_per_message']:.2f} trampoline hops/message",
+        f"defused ratio {scheduling['defused_ratio']:.4f}",
     ]
     return "\n".join(lines)

@@ -1,16 +1,17 @@
 """Profiling the simulation kernel itself.
 
 Every future "make a hot path measurably faster" PR needs to know what
-the kernel spent its time on.  :class:`KernelProfile` is a plain counter
-object the :class:`repro.sim.engine.Simulator` increments when attached
-(``sim.profile = profile``); detached (the default), the kernel pays one
-``is not None`` check per step.
+the kernel spent its time on.  :class:`KernelProfile` is one of the two
+:class:`~repro.sim.engine.StepHook` implementations: attached, it holds
+the simulator's hook slot and sees every heap pop; detached (the
+default), the kernel's step body pays two ``is None`` tests per pop.
 
 Collected:
 
 * ``events_processed`` — heap pops (kernel iterations).
 * ``heap_peak`` — high-water mark of the event heap (scheduling depth).
-* ``processes_spawned`` — generator processes launched.
+* ``processes_spawned`` — generator processes started (``process_start``
+  pops).
 * wall-clock — real seconds between :meth:`start` and :meth:`stop`,
   reported per simulated second so runs of different lengths compare.
 
@@ -21,11 +22,10 @@ Attribution (the performance observatory, ``repro.obs.perf``):
   count and cumulative wall seconds spent running its callbacks.
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
   handler, the message count, cumulative wall seconds, and generator
-  resume segments (filled in by :meth:`drive_handler`, which
-  ``core.engine`` routes dispatch through when a profile is attached).
+  resume segments (filled in by :meth:`drive_handler`, through which
+  ``core.engine`` runs each handler when a step hook is attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
-  same-timestamp tie-batch size histogram, defused-event and cancelled
-  -callback counts, and trampoline hops per resume.
+  same-timestamp tie-batch size histogram and the defused-event count.
 
 All wall-clock reads live here (waivered) so the kernel stays clean of
 ``time`` imports; ``loop_wall_seconds`` brackets only the event loop, so
@@ -37,10 +37,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.sim.engine import Event, StepHook
+
 __all__ = ["KernelProfile"]
 
 
-class KernelProfile:
+class KernelProfile(StepHook):
     """Cheap kernel counters plus wall-clock accounting."""
 
     __slots__ = ("events_processed", "heap_peak", "processes_spawned",
@@ -48,8 +50,7 @@ class KernelProfile:
                  "loop_wall_seconds", "by_event_kind", "by_msg_type",
                  "heap_depth_hist", "_last_stamp",
                  "tie_batch_hist", "_tie_when", "_tie_run",
-                 "events_defused", "callbacks_cancelled",
-                 "trampoline_hops", "resume_segments")
+                 "events_defused")
 
     def __init__(self):
         self.events_processed = 0
@@ -78,15 +79,12 @@ class KernelProfile:
         self._tie_when: Optional[float] = None
         self._tie_run = 0
         self.events_defused = 0
-        self.callbacks_cancelled = 0
-        self.trampoline_hops = 0
-        self.resume_segments = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, sim: Any) -> KernelProfile:
-        """Install on a simulator and start the wall clock."""
-        sim.profile = self
+        """Take the simulator's step hook and start the wall clock."""
+        super().attach(sim)
         self.start()
         return self
 
@@ -103,19 +101,18 @@ class KernelProfile:
         self._flush_tie_run()
         self.sim_ns = sim_now
 
-    # -- kernel hooks --------------------------------------------------------
-    #
-    # Called by Simulator._profiled_step / run / Process._resume; never on
-    # the unprofiled path, so the cost lands only on runs that asked for it.
+    # -- StepHook ------------------------------------------------------------
 
-    def step_start(self, depth: int, when: float) -> float:
-        """Before a heap pop: scheduling stats.  Returns the wall t0."""
+    def before_pop(self, heap: List) -> float:
+        """Scheduling stats for the pop of ``heap[0]``.  Returns the wall t0."""
         self.events_processed += 1
+        depth = len(heap)
         if depth > self.heap_peak:
             self.heap_peak = depth
         bucket = depth.bit_length()
         hist = self.heap_depth_hist
         hist[bucket] = hist.get(bucket, 0) + 1
+        when = heap[0][0]
         if when == self._tie_when:
             self._tie_run += 1
         else:
@@ -124,25 +121,28 @@ class KernelProfile:
             self._tie_run = 1
         stamp = self._last_stamp
         if stamp is not None:
-            # Inside a profiled loop: chain from the previous step's end
+            # Inside a run loop: chain from the previous step's end
             # so pop/peek/bookkeeping overhead stays attributed.
             return stamp
         # Direct step() outside run(): open a fresh window here.
         # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
         return time.perf_counter()
 
-    def step_end(self, kind: str, defused: bool, t0: float) -> None:
+    def after_pop(self, event: Event, t0: float) -> None:
         """After the event's callbacks ran: bucket the elapsed wall."""
         # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
         now = time.perf_counter()
         if self._last_stamp is not None:
             self._last_stamp = now
+        kind = event.kind
+        if kind == "process_start":
+            self.processes_spawned += 1
         bucket = self.by_event_kind.get(kind)
         if bucket is None:
             bucket = self.by_event_kind[kind] = [0, 0.0]
         bucket[0] += 1
         bucket[1] += now - t0
-        if defused:
+        if event.defused:
             self.events_defused += 1
 
     def loop_enter(self) -> float:
@@ -244,14 +244,13 @@ class KernelProfile:
         return sum(bucket[1] for bucket in self.by_event_kind.values())
 
     def snapshot(self) -> Dict[str, Any]:
-        """The run-report ``profile`` section (schema ``/5`` shape).
+        """The run-report ``profile`` section (schema ``/7`` shape).
 
         Flat headline counters first (the ``/4`` shape, unchanged), then
-        the ``attribution`` and ``scheduling`` subsections the
-        observatory added.  Safe to call mid-run: wall-derived values
-        include the in-flight interval (see :attr:`wall_elapsed_seconds`).
+        the ``attribution`` and ``scheduling`` subsections.  Safe to call
+        mid-run: wall-derived values include the in-flight interval (see
+        :attr:`wall_elapsed_seconds`).
         """
-        messages = self.messages_handled
         loop = self.loop_wall_seconds
         attributed = self.attributed_wall_seconds
         return {
@@ -294,12 +293,7 @@ class KernelProfile:
                 "defused_ratio":
                     self.events_defused / self.events_processed
                     if self.events_processed else 0.0,
-                "callbacks_cancelled": self.callbacks_cancelled,
-                "trampoline_hops": self.trampoline_hops,
-                "resume_segments": self.resume_segments,
-                "messages_handled": messages,
-                "hops_per_message":
-                    self.trampoline_hops / messages if messages else 0.0,
+                "messages_handled": self.messages_handled,
             },
         }
 

@@ -9,7 +9,7 @@ Durability-Point lag series, and (optionally) the kernel profile.
 Schema (see DESIGN.md "Run-report JSON" for field-level docs)::
 
     {
-      "schema": "repro.run_report/6",
+      "schema": "repro.run_report/7",
       "meta":     {model, consistency, persistency, servers, clients,
                    seed, workload, duration_ns, warmup_ns, window_ns,
                    config_hash},
@@ -45,8 +45,10 @@ per-event-kind and per-``MsgType``-handler wall/counts — and
 counters, trampoline hops; see docs/handbook.md "Profiling the
 kernel"); ``/6`` adds the optional ``audit`` section (the embedded
 ``repro.audit_report/1`` document from the black-box contract auditor,
-see docs/handbook.md "Auditing").  Fields of older schemas are
-unchanged.
+see docs/handbook.md "Auditing"); ``/7`` drops four ``profile.scheduling``
+counters the kernel no longer feeds (``callbacks_cancelled``,
+``trampoline_hops``, ``resume_segments``, ``hops_per_message``).  Other
+fields of older schemas are unchanged.
 
 NaN/inf values (empty windows, models that never persist) are emitted
 as ``null`` so the document is strict JSON.

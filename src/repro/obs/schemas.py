@@ -63,7 +63,7 @@ class ArtifactSchema:
 
 _FAMILIES = (
     ArtifactSchema(
-        "repro.run_report", (1, 2, 3, 4, 5, 6),
+        "repro.run_report", (1, 2, 3, 4, 5, 6, 7),
         ("meta", "summary", "windows"),
         "per-run report: summary, windowed series, optional journey/"
         "health/profile/faults/audit sections"),
@@ -94,7 +94,7 @@ _FAMILIES = (
         ("findings",),
         "reprolint findings"),
     ArtifactSchema(
-        "repro.kernel_profile", (1,),
+        "repro.kernel_profile", (1, 2),
         ("meta", "profile"),
         "kernel performance observatory snapshot"),
     ArtifactSchema(

@@ -33,6 +33,7 @@ __all__ = [
     "Interrupt",
     "Simulator",
     "SimulationError",
+    "StepHook",
 ]
 
 
@@ -204,10 +205,6 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            else:
-                profile = self.sim.profile
-                if profile is not None:
-                    profile.callbacks_cancelled += 1
         interrupt_event = Event(self.sim)
         interrupt_event.kind = "interrupt"
         interrupt_event._ok = False
@@ -217,60 +214,49 @@ class Process(Event):
         self.sim._schedule(interrupt_event, 0.0)
 
     def _resume(self, trigger: Event) -> None:
-        # ``hops`` counts trampoline fast-path continuations (yielding an
-        # already-processed event resumes the generator without another
-        # heap pop); the attached profile, if any, collects it on exit.
-        profile = self.sim.profile
-        hops = 0
-        try:
-            self.sim._active_process = self
-            event: Event = trigger
-            while True:
-                try:
-                    if event._ok:
-                        target = self.generator.send(event._value)
-                    else:
-                        event.defused = True
-                        target = self.generator.throw(event._value)
-                except StopIteration as stop:
-                    self._target = None
-                    self.sim._active_process = None
-                    if self._value is PENDING:
-                        self.succeed(stop.value)
-                    return
-                except BaseException as exc:
-                    self._target = None
-                    self.sim._active_process = None
-                    if self._value is PENDING:
-                        self.fail(exc)
-                    else:  # pragma: no cover - double fault
-                        raise
-                    return
-
-                if not isinstance(target, Event) or target.sim is not self.sim:
-                    self._target = None
-                    self.sim._active_process = None
-                    self.fail(
-                        SimulationError(
-                            f"process {self.name!r} yielded invalid target "
-                            f"{target!r}"
-                        )
-                    )
-                    return
-
-                if target.callbacks is None:
-                    # Already processed: continue immediately with its value.
-                    event = target
-                    hops += 1
-                    continue
-                target.callbacks.append(self._resume)
-                self._target = target
+        self.sim._active_process = self
+        event: Event = trigger
+        while True:
+            try:
+                if event._ok:
+                    target = self.generator.send(event._value)
+                else:
+                    event.defused = True
+                    target = self.generator.throw(event._value)
+            except StopIteration as stop:
+                self._target = None
                 self.sim._active_process = None
+                if self._value is PENDING:
+                    self.succeed(stop.value)
                 return
-        finally:
-            if profile is not None:
-                profile.resume_segments += 1
-                profile.trampoline_hops += hops
+            except BaseException as exc:
+                self._target = None
+                self.sim._active_process = None
+                if self._value is PENDING:
+                    self.fail(exc)
+                else:  # pragma: no cover - double fault
+                    raise
+                return
+
+            if not isinstance(target, Event) or target.sim is not self.sim:
+                self._target = None
+                self.sim._active_process = None
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded invalid target "
+                        f"{target!r}"
+                    )
+                )
+                return
+
+            if target.callbacks is None:
+                # Already processed: continue immediately with its value.
+                event = target
+                continue
+            target.callbacks.append(self._resume)
+            self._target = target
+            self.sim._active_process = None
+            return
 
 
 class AllOf(Event):
@@ -347,6 +333,54 @@ class AnyOf(Event):
         return on_child
 
 
+class StepHook:
+    """An observer wrapped around every kernel step.
+
+    A simulator holds at most one hook, in ``Simulator.hook`` (``None``
+    by default).  Every entry point — :meth:`Simulator.run`,
+    :meth:`Simulator.run_until_complete` and :meth:`Simulator.step` —
+    drives the same step body, which calls the hook around each heap
+    pop; unhooked, that body pays two ``is None`` tests on a local per
+    pop and nothing else.  The two implementations are
+    :class:`~repro.obs.profile.KernelProfile` (counts and times pops)
+    and :class:`~repro.devtools.sanitizer.TieBatchSanitizer` (observes
+    and permutes same-timestamp batches).  The defaults here do nothing.
+    """
+
+    __slots__ = ()
+
+    def attach(self, sim: Simulator) -> StepHook:
+        """Take ``sim``'s hook slot; a second hook is refused, not
+        silently stacked or dropped."""
+        if sim.hook is not None:
+            raise SimulationError(
+                f"cannot attach {type(self).__name__}: the simulator's "
+                f"step hook is already a {type(sim.hook).__name__}")
+        sim.hook = self
+        return self
+
+    def loop_enter(self) -> Any:
+        """A run loop starts; the return value is passed to
+        :meth:`loop_exit`."""
+
+    def loop_exit(self, token: Any) -> None:
+        """The run loop that :meth:`loop_enter` opened has ended
+        (normally or by an exception)."""
+
+    def before_pop(self, heap: List) -> Any:
+        """The next pop is ``heap[0]``.  The hook may reorder the entries
+        tied at that timestamp by re-pushing them with their sequence
+        numbers reassigned; the return value goes to :meth:`after_pop`."""
+
+    def after_pop(self, event: Event, token: Any) -> None:
+        """``event`` was popped and its callbacks ran."""
+
+    def drive_handler(self, label: str, handler: Generator) -> Iterable:
+        """Wrap a protocol message handler; ``label`` names its message
+        type.  Must yield exactly what ``handler`` yields."""
+        return handler
+
+
 class Simulator:
     """The event loop.
 
@@ -368,15 +402,8 @@ class Simulator:
         self._heap: List = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        # Optional kernel profiler (see repro.obs.profile.KernelProfile).
-        # None by default so the hot loop pays one attribute check per
-        # step and nothing else.
-        self.profile = None
-        # Optional tie-batch order sanitizer (see
-        # repro.devtools.sanitizer.TieBatchSanitizer): observes — and in
-        # sanitizing mode permutes — same-timestamp pop batches.  Same
-        # contract as ``profile``: None by default, one check per run.
-        self.order_sanitizer = None
+        # The one optional StepHook (see StepHook.attach).
+        self.hook: Optional[StepHook] = None
 
     # -- factory helpers ------------------------------------------------------
 
@@ -390,8 +417,6 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Launch a generator as a concurrent process."""
-        if self.profile is not None:
-            self.profile.processes_spawned += 1
         return Process(self, generator, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -432,109 +457,54 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        profile = self.profile
-        if profile is not None:
-            self._profiled_step(profile)
-            return
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        event._run_callbacks()
-        if event._ok is False and not event.defused:
-            # A failure nobody consumed: surface it instead of losing it.
-            raise event._value
+        self._step(self.hook)
 
-    def _profiled_step(self, profile: Any) -> None:
-        """The :meth:`step` body with attribution hooks around it.
-
-        Identical scheduling semantics — same pop, same callback order —
-        so a profiled run stays byte-identical to an unprofiled one; the
-        profile merely brackets each event with wall-clock reads and
-        scheduling statistics (see ``KernelProfile.step_start/step_end``).
-        """
-        t0 = profile.step_start(len(self._heap), self._heap[0][0])
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        event._run_callbacks()
-        profile.step_end(event.kind, event.defused, t0)
-        if event._ok is False and not event.defused:
-            # A failure nobody consumed: surface it instead of losing it.
-            raise event._value
-
-    def _sanitized_run(self, until: Optional[float], sanitizer: Any) -> None:
-        """The :meth:`run` loop popping whole same-timestamp *waves*.
-
-        All entries tied at the next timestamp are popped together and
-        handed to the sanitizer, which records the batch and (in
-        sanitizing mode) permutes its processing order.  With the
-        identity permutation this is exactly the plain loop: the heap
-        yields ties in insertion-sequence order, and events scheduled
-        *while* a wave runs always carry larger sequence numbers, so
-        they land in a later wave just as they would pop later.
-        """
+    def _step(self, hook: Optional[StepHook]) -> None:
+        """The one step body every entry point drives."""
         heap = self._heap
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return
-            batch = [heapq.heappop(heap)]
-            while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap))
-            if len(batch) > 1:
-                sanitizer.observe(when, batch)
-            self.now = when
-            for _when, _seq, event in batch:
-                event._run_callbacks()
-                if event._ok is False and not event.defused:
-                    raise event._value
-        if until is not None:
-            self.now = until
+        if hook is not None:
+            token = hook.before_pop(heap)
+        when, _seq, event = heapq.heappop(heap)
+        self.now = when
+        event._run_callbacks()
+        if hook is not None:
+            hook.after_pop(event, token)
+        if event._ok is False and not event.defused:
+            # A failure nobody consumed: surface it instead of losing it.
+            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or ``until`` (absolute ns) is reached."""
         if until is not None and until < self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        if self.order_sanitizer is not None:
-            self._sanitized_run(until, self.order_sanitizer)
-            return
-        profile = self.profile
-        if profile is None:
-            while self._heap:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                self.step()
-            if until is not None:
-                self.now = until
-            return
-        t0 = profile.loop_enter()
+        hook = self.hook
+        token = hook.loop_enter() if hook is not None else None
         try:
-            while self._heap:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                self._profiled_step(profile)
+            heap = self._heap
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                self._step(hook)
             if until is not None:
                 self.now = until
         finally:
-            profile.loop_exit(t0)
+            if hook is not None:
+                hook.loop_exit(token)
 
     def run_until_complete(self, process: Process) -> Any:
         """Run until ``process`` finishes; return its value (or raise)."""
-        profile = self.profile
-        t0 = profile.loop_enter() if profile is not None else 0.0
+        hook = self.hook
+        token = hook.loop_enter() if hook is not None else None
         try:
             while not process.triggered:
                 if not self._heap:
                     raise SimulationError(
                         f"deadlock: {process.name!r} still pending with no events"
                     )
-                self.step()
+                self._step(hook)
         finally:
-            if profile is not None:
-                profile.loop_exit(t0)
+            if hook is not None:
+                hook.loop_exit(token)
         if not process.ok:
             # The caller consumes the failure here; the process's own
             # completion event (still queued) must not re-raise it.

@@ -89,7 +89,7 @@ class TestCommands:
         assert trace["otherData"]["record_count"] > 0
 
         report = json.loads(report_path.read_text())
-        assert report["schema"] == "repro.run_report/6"
+        assert report["schema"] == "repro.run_report/7"
         assert report["meta"]["window_ns"] == 5000.0
         assert len(report["meta"]["config_hash"]) == 16
         assert report["windows"], "windowed throughput series missing"
@@ -307,7 +307,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "repro.kernel_profile/1"
+        assert doc["schema"] == "repro.kernel_profile/2"
         assert doc["meta"]["config_hash"]
         profile = doc["profile"]
         assert profile["events_processed"] > 0

@@ -83,7 +83,7 @@ class TestKernelProfile:
 
     def test_detached_simulator_profiles_nothing(self):
         sim = Simulator()
-        assert sim.profile is None
+        assert sim.hook is None
 
         def worker():
             yield sim.timeout(1.0)

@@ -10,8 +10,9 @@ byte-identity suites fail mysteriously.
 
 import pytest
 
+from repro.devtools.sanitizer import TieBatchSanitizer
 from repro.obs import KernelProfile
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Interrupt, SimulationError, Simulator
 
 
 def _attached():
@@ -25,21 +26,44 @@ def _kind_counts(profile):
     return {kind: stats[0] for kind, stats in profile.by_event_kind.items()}
 
 
+def _drain_by_steps(sim, _proc):
+    while sim.queue_depth:
+        sim.step()
+
+
+def _run_until_complete(sim, proc):
+    # run_until_complete returns once ``proc`` has triggered, with the
+    # process's own process_end still queued; one step() pops it.
+    sim.run_until_complete(proc)
+    sim.step()
+
+
+#: The three kernel entry points, each driving a schedule to empty.
+DRIVERS = {
+    "run": lambda sim, _proc: sim.run(),
+    "step": _drain_by_steps,
+    "run_until_complete": _run_until_complete,
+}
+
+
 class TestEventKindAttribution:
-    def test_all_of_composite_pinned_counts(self):
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_all_of_composite_pinned_counts(self, driver):
         """3 same-delay timeouts under an AllOf: 6 pops total —
         process_start, 3 timeouts, the composite, process_end — with the
-        5 t=5 pops forming one tie-batch."""
+        5 t=5 pops forming one tie-batch, whichever entry point drives
+        the schedule (they share one step body)."""
         sim, profile = _attached()
 
         def waiter():
             yield sim.all_of([sim.timeout(5.0) for _ in range(3)])
 
-        sim.process(waiter())
-        sim.run()
+        DRIVERS[driver](sim, sim.process(waiter()))
         profile.stop(sim.now)
 
+        assert sim.queue_depth == 0
         assert profile.events_processed == 6
+        assert profile.processes_spawned == 1
         assert _kind_counts(profile) == {
             "process_start": 1, "timeout": 3,
             "composite": 1, "process_end": 1,
@@ -138,9 +162,9 @@ class TestSchedulingStatistics:
         assert sum(profile.heap_depth_hist.values()) == \
             profile.events_processed
 
-    def test_trampoline_hops_on_already_processed_target(self):
+    def test_already_processed_target_adds_no_pop(self):
         """Yielding an event that already ran its callbacks resumes the
-        generator inline (no extra pop): exactly one trampoline hop."""
+        generator inline (the trampoline fast path): no extra pop."""
         sim, profile = _attached()
         early = sim.timeout(1.0)
 
@@ -153,10 +177,10 @@ class TestSchedulingStatistics:
         sim.run()
         profile.stop(sim.now)
 
-        assert profile.trampoline_hops == 1
-        assert profile.resume_segments > 0
         # `early` popped with no waiters; the late yield adds no pop.
-        assert _kind_counts(profile)["timeout"] == 2
+        assert _kind_counts(profile) == {
+            "process_start": 1, "timeout": 2, "process_end": 1,
+        }
 
 
 class TestInterruptAttribution:
@@ -180,7 +204,6 @@ class TestInterruptAttribution:
 
         counts = _kind_counts(profile)
         assert counts["interrupt"] == 1
-        assert profile.callbacks_cancelled == 1
         # The abandoned 100ns timeout still pops (undefused, no waiters).
         assert counts["timeout"] == 2
 
@@ -193,8 +216,64 @@ class TestInterruptAttribution:
         sim.process(worker())
         sim.run()
         profile.stop(sim.now)
-        assert profile.callbacks_cancelled == 0
         assert "interrupt" not in profile.by_event_kind
+
+
+class TestOneHookSlot:
+    @pytest.mark.parametrize("first,second", [
+        (KernelProfile, TieBatchSanitizer),
+        (TieBatchSanitizer, KernelProfile),
+        (KernelProfile, KernelProfile),
+    ])
+    def test_second_hook_is_refused(self, first, second):
+        """One hook slot: a second attach is refused with an error naming
+        both hooks, rather than one of them silently recording nothing."""
+        sim = Simulator()
+        held = first()
+        held.attach(sim)
+        with pytest.raises(SimulationError) as excinfo:
+            second().attach(sim)
+        message = str(excinfo.value)
+        assert first.__name__ in message and second.__name__ in message
+        assert sim.hook is held
+
+
+class TestSanitizerEntryPoints:
+    @staticmethod
+    def _deliveries(sim, popped):
+        """Six same-timestamp deliveries plus a process to wait on."""
+        for label in range(6):
+            event = sim.event()
+            event.kind = "msg_delivery"
+            event.callbacks.append(lambda ev: popped.append(ev.value))
+            event.succeed(label)
+
+        def sleeper():
+            yield sim.timeout(1.0)
+
+        return sim.process(sleeper())
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_every_entry_point_sees_the_same_batches(self, seed):
+        """The sanitizer observes, and permutes, the same tie batch
+        whichever entry point drives the run."""
+        outcomes = {}
+        for name, drive in sorted(DRIVERS.items()):
+            sim, popped = Simulator(), []
+            sanitizer = TieBatchSanitizer(seed=seed)
+            sanitizer.attach(sim)
+            drive(sim, self._deliveries(sim, popped))
+            assert sorted(popped) == list(range(6))
+            outcomes[name] = (popped, sanitizer.batches,
+                              sanitizer.max_batch, sanitizer.permuted)
+        assert len(set(map(repr, outcomes.values()))) == 1, outcomes
+        popped, batches, max_batch, permuted = outcomes["run"]
+        # The deliveries and the process start tie at t=0.
+        assert (batches, max_batch) == (1, 7)
+        if seed is None:
+            assert popped == list(range(6)) and permuted == 0
+        else:
+            assert popped != list(range(6)) and permuted == 1
 
 
 class TestClusterLevelInvariants:
